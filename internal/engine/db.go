@@ -306,6 +306,11 @@ func (db *DB) Close() error {
 // indexes, catalog, locks, live transactions) is discarded and rebuilt from
 // the write-ahead log, exactly as a restart after a power loss would.
 func (db *DB) Crash() error {
+	// NewManager re-registers the lock_* metrics; the registry's replace
+	// semantics make the fresh manager's counters the live ones. It runs
+	// before the latch is taken because the registry ranks outside the
+	// latch (DESIGN.md §5, lock ranks).
+	lm := lock.NewManager(db.lockConfig())
 	// Holding ckptMu makes a concurrent fuzzy checkpoint either complete
 	// before the crash (its anchors survive) or start after recovery.
 	db.ckptMu.Lock()
@@ -314,12 +319,10 @@ func (db *DB) Crash() error {
 	db.tables = make(map[string]*table)
 	db.cat = catalog.New()
 	db.indoubt = make(map[int64]*txn)
-	// NewManager re-registers the lock_* metrics; the registry's replace
-	// semantics make the fresh manager's counters the live ones. The swap
-	// happens under the latch so concurrent diagnostic readers (admin
-	// wait-graph, stats scrapers) see either the old or the new manager,
-	// never a torn pointer.
-	db.lm = lock.NewManager(db.lockConfig())
+	// The swap happens under the latch so concurrent diagnostic readers
+	// (admin wait-graph, stats scrapers) see either the old or the new
+	// manager, never a torn pointer.
+	db.lm = lm
 	db.latch.Unlock()
 	if db.store != nil {
 		// Drop pool frames and the working page mapping; the page file

@@ -50,3 +50,39 @@ func TestHotPathNoAlloc(t *testing.T) {
 		t.Fatalf("Gauge.Add allocates %.1f times per op", n)
 	}
 }
+
+// BenchmarkAttributionFullRing is one commit's latency attribution on a
+// ring at its default size, full of other traces: the per-commit read the
+// host makes, which should cost the trace's 15 spans, not the ring.
+func BenchmarkAttributionFullRing(b *testing.B) {
+	tr := NewTracer(64)
+	const trace = 1
+	for i := 0; i < DefaultSpanCapacity; i++ {
+		push(tr, Span{Trace: int64(2 + i/15), ID: int64(1000 + i), Op: "phase1", DurNS: 10})
+	}
+	push(tr, Span{Trace: trace, ID: 1, Op: "commit", Root: true, DurNS: 1000})
+	for id := int64(2); id <= 15; id++ {
+		op := "rpc:Prepare"
+		if id%2 == 0 {
+			op = "phase1"
+		}
+		push(tr, Span{Trace: trace, ID: id, Parent: id - 1, Op: op, StartNS: id, DurNS: 1000 - 60*id})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if a := tr.Attribution(trace); a.RootNS != 1000 {
+			b.Fatalf("RootNS = %d", a.RootNS)
+		}
+	}
+}
+
+// BenchmarkSpanStartEnd opens and ends one span per iteration on a ring
+// that keeps wrapping, 15 spans per trace as in a host commit.
+func BenchmarkSpanStartEnd(b *testing.B) {
+	tr := NewTracer(64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.StartSpanInTrace(int64(1+i/15), 0, "host", "op").End()
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -128,62 +129,67 @@ func (r *Registry) Reset() {
 	}
 }
 
+// metricSet is a registry's metrics copied out under its mutex, so that
+// readers evaluate GaugeFuncs after unlocking. A GaugeFunc may take its
+// component's lock (engine_lock_pressure takes the engine latch), and the
+// registry ranks outside every component lock (DESIGN.md §5, lock ranks).
+type metricSet struct {
+	labels   []string
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	gaugeFns map[string]func() float64
+	hists    map[string]*Histogram
+}
+
+func (r *Registry) metrics() metricSet {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return metricSet{
+		labels:   r.labels,
+		counters: maps.Clone(r.counters),
+		gauges:   maps.Clone(r.gauges),
+		gaugeFns: maps.Clone(r.gaugeFns),
+		hists:    maps.Clone(r.hists),
+	}
+}
+
 // WriteProm renders every metric in Prometheus text exposition format
 // (sorted by name, histograms as cumulative le buckets in seconds).
 func (r *Registry) WriteProm(w io.Writer) error {
-	r.mu.Lock()
-	labels := r.labels
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	gaugeFns := make(map[string]func() float64, len(r.gaugeFns))
-	for k, v := range r.gaugeFns {
-		gaugeFns[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
+	m := r.metrics()
 	render := func(name string, extra ...string) string {
-		if len(labels) == 0 && len(extra) == 0 {
+		if len(m.labels) == 0 && len(extra) == 0 {
 			return name
 		}
-		all := append(append([]string{}, labels...), extra...)
+		all := append(append([]string{}, m.labels...), extra...)
 		return name + "{" + strings.Join(all, ",") + "}"
 	}
 
 	var names []string
-	for n := range counters {
+	for n := range m.counters {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative count.\n# TYPE %s counter\n%s %d\n", n, n, render(n), counters[n].Load()); err != nil {
+		if _, err := fmt.Fprintf(w, "# HELP %s Cumulative count.\n# TYPE %s counter\n%s %d\n", n, n, render(n), m.counters[n].Load()); err != nil {
 			return err
 		}
 	}
 
 	names = names[:0]
-	for n := range gauges {
+	for n := range m.gauges {
 		names = append(names, n)
 	}
-	for n := range gaugeFns {
+	for n := range m.gaugeFns {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
 		var v float64
-		if f, ok := gaugeFns[n]; ok {
+		if f, ok := m.gaugeFns[n]; ok {
 			v = f()
 		} else {
-			v = float64(gauges[n].Load())
+			v = float64(m.gauges[n].Load())
 		}
 		if _, err := fmt.Fprintf(w, "# HELP %s Current value.\n# TYPE %s gauge\n%s %g\n", n, n, render(n), v); err != nil {
 			return err
@@ -191,12 +197,12 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	}
 
 	names = names[:0]
-	for n := range hists {
+	for n := range m.hists {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		h := hists[n]
+		h := m.hists[n]
 		bounds, cum := h.buckets()
 		if _, err := fmt.Fprintf(w, "# HELP %s Duration histogram in seconds.\n# TYPE %s histogram\n", n, n); err != nil {
 			return err
@@ -263,21 +269,20 @@ func NewMetricsSnapshot() MetricsSnapshot {
 }
 
 // Export copies every metric into a MetricsSnapshot. GaugeFuncs are
-// evaluated at export time.
+// evaluated at export time, outside the registry lock.
 func (r *Registry) Export() MetricsSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	m := r.metrics()
 	s := NewMetricsSnapshot()
-	for n, c := range r.counters {
+	for n, c := range m.counters {
 		s.Counters[n] = c.Load()
 	}
-	for n, g := range r.gauges {
+	for n, g := range m.gauges {
 		s.Gauges[n] = float64(g.Load())
 	}
-	for n, f := range r.gaugeFns {
+	for n, f := range m.gaugeFns {
 		s.Gauges[n] = f()
 	}
-	for n, h := range r.hists {
+	for n, h := range m.hists {
 		s.Hists[n] = h.Export()
 	}
 	return s
@@ -313,20 +318,19 @@ func (s *MetricsSnapshot) Merge(o MetricsSnapshot) error {
 // gauges as numbers, histograms as {count, sum_ms, p50_ms, p95_ms, p99_ms,
 // max_ms}. The bench harness emits it as the machine-readable BENCH line.
 func (r *Registry) Snapshot() map[string]any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]any, len(r.counters)+len(r.gauges)+len(r.gaugeFns)+len(r.hists))
-	for n, c := range r.counters {
+	m := r.metrics()
+	out := make(map[string]any, len(m.counters)+len(m.gauges)+len(m.gaugeFns)+len(m.hists))
+	for n, c := range m.counters {
 		out[n] = c.Load()
 	}
-	for n, g := range r.gauges {
+	for n, g := range m.gauges {
 		out[n] = g.Load()
 	}
-	for n, f := range r.gaugeFns {
+	for n, f := range m.gaugeFns {
 		out[n] = f()
 	}
 	ms := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-	for n, h := range r.hists {
+	for n, h := range m.hists {
 		s := h.Summarize()
 		out[n] = map[string]any{
 			"count":  s.Count,

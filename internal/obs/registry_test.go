@@ -127,3 +127,31 @@ func TestSnapshotAndReset(t *testing.T) {
 		t.Fatal("reset did not zero metrics")
 	}
 }
+
+// TestGaugeFuncRunsOutsideRegistryLock: every reader evaluates GaugeFuncs
+// after releasing the registry lock, so a callback may itself touch the
+// registry (as a component re-registering its metrics under its own lock
+// does, indirectly) without deadlocking the scrape.
+func TestGaugeFuncRunsOutsideRegistryLock(t *testing.T) {
+	r := New()
+	r.GaugeFunc("reentrant", func() float64 {
+		r.Counter("registered_from_gauge_total").Inc()
+		return 1
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.Export()
+		r.Snapshot()
+		var sb strings.Builder
+		r.WriteProm(&sb) //nolint:errcheck
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a GaugeFunc that touches the registry deadlocked a reader")
+	}
+	if got := r.Counter("registered_from_gauge_total").Load(); got != 3 {
+		t.Fatalf("gauge evaluated %d times, want 3 (Export, Snapshot, WriteProm)", got)
+	}
+}

@@ -116,18 +116,31 @@ func (c TracerConfig) withDefaults() TracerConfig {
 // spanStore is the span half of a tracer's shared state: a bounded ring of
 // completed spans plus a table of still-open spans, so a victim captured
 // mid-flight (lock timeout, deadlock) still shows its partial tree.
+//
+// The ring is indexed by trace: each trace's slots form a singly linked
+// list in push order (nextSame, parallel to buf), and traces maps a trace
+// id to the list's head and tail. A per-trace read (commit attribution,
+// slow-log and victim capture) walks only that list instead of copying
+// the whole ring under the mutex. The index holds at most len(buf)
+// entries: a trace leaves it when its last slot is overwritten.
 type spanStore struct {
 	start time.Time
 	rate  float64
 	slow  slowLog
 
-	mu     sync.Mutex
-	nextID int64
-	buf    []Span
-	next   int
-	full   bool
-	open   map[int64]*Span
+	mu       sync.Mutex
+	nextID   int64
+	buf      []Span
+	nextSame []int32 // slot -> next slot of the same trace, -1 at the tail
+	traces   map[int64]traceSlots
+	next     int
+	full     bool
+	open     map[int64]*Span
 }
+
+// traceSlots locates one trace's slots in the ring: the oldest (head) and
+// newest (tail) ends of its nextSame list, and how many slots it holds.
+type traceSlots struct{ head, tail, n int32 }
 
 // txnBinds maps one engine's local txn ids to span contexts. It is held
 // per Tracer instance, not in the shared spanStore: every engine allocates
@@ -146,11 +159,13 @@ func NewTracerCfg(cfg TracerConfig) *Tracer {
 	cfg = cfg.withDefaults()
 	t := newEventRing(cfg.Capacity)
 	t.s = &spanStore{
-		start: t.r.start,
-		rate:  cfg.SampleRate,
-		buf:   make([]Span, cfg.SpanCapacity),
-		open:  make(map[int64]*Span),
-		slow:  slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
+		start:    t.r.start,
+		rate:     cfg.SampleRate,
+		buf:      make([]Span, cfg.SpanCapacity),
+		nextSame: make([]int32, cfg.SpanCapacity),
+		traces:   make(map[int64]traceSlots),
+		open:     make(map[int64]*Span),
+		slow:     slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
 	}
 	t.binds = &txnBinds{m: make(map[int64]SpanCtx)}
 	return t
@@ -294,9 +309,32 @@ func (h *SpanHandle) End() {
 	}
 }
 
-// pushLocked appends a completed span to the ring. Caller holds s.mu.
+// pushLocked appends a completed span to the ring and to its trace's slot
+// list. Caller holds s.mu. The slot it overwrites holds the oldest span in
+// the ring, which is therefore the head of its own trace's list, so
+// unlinking it is O(1).
 func (s *spanStore) pushLocked(sp Span) {
-	s.buf[s.next] = sp
+	i := int32(s.next)
+	if s.full {
+		old := s.buf[i].Trace
+		if ts := s.traces[old]; ts.tail == i {
+			delete(s.traces, old)
+		} else {
+			ts.head = s.nextSame[i]
+			ts.n--
+			s.traces[old] = ts
+		}
+	}
+	s.buf[i] = sp
+	s.nextSame[i] = -1
+	if ts, ok := s.traces[sp.Trace]; ok {
+		s.nextSame[ts.tail] = i
+		ts.tail = i
+		ts.n++
+		s.traces[sp.Trace] = ts
+	} else {
+		s.traces[sp.Trace] = traceSlots{head: i, tail: i, n: 1}
+	}
 	s.next++
 	if s.next == len(s.buf) {
 		s.next = 0
@@ -394,27 +432,23 @@ func (s *spanStore) allLocked(at int64) []Span {
 	return out
 }
 
+// byTraceLocked returns one trace's spans, completed ones in push order
+// then open ones, capped at maxSpansPerEntry. It walks the trace's slot
+// list, never the whole ring. Caller holds s.mu.
 func (s *spanStore) byTraceLocked(trace int64, at int64) []Span {
 	var out []Span
-	add := func(sp Span) {
-		if sp.Trace == trace && len(out) < maxSpansPerEntry {
-			out = append(out, sp)
+	if ts, ok := s.traces[trace]; ok {
+		out = make([]Span, 0, min(ts.n, maxSpansPerEntry))
+		for i := ts.head; i >= 0 && len(out) < maxSpansPerEntry; i = s.nextSame[i] {
+			out = append(out, s.buf[i])
 		}
-	}
-	if s.full {
-		for _, sp := range s.buf[s.next:] {
-			add(sp)
-		}
-	}
-	for _, sp := range s.buf[:s.next] {
-		add(sp)
 	}
 	for _, sp := range s.open {
-		if sp.Trace == trace {
+		if sp.Trace == trace && len(out) < maxSpansPerEntry {
 			c := *sp
 			c.Open = true
 			c.DurNS = at - c.StartNS
-			add(c)
+			out = append(out, c)
 		}
 	}
 	return out

@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -181,25 +184,25 @@ func TestAttributionSelfTime(t *testing.T) {
 	}
 }
 
+// TestSlowLogKeepsSlowest checks the ranking and the keep limit on fixed
+// durations: entries are held slowest first, a full log admits only a
+// duration beating its fastest entry, and nothing below the threshold.
 func TestSlowLogKeepsSlowest(t *testing.T) {
-	tr := NewTracerCfg(TracerConfig{SlowThreshold: time.Nanosecond, SlowKeep: 2})
-	for txn := int64(1); txn <= 3; txn++ {
-		root := tr.StartRoot(txn, "host", "commit")
-		time.Sleep(time.Duration(txn) * time.Millisecond)
-		root.End()
+	l := slowLog{threshold: 10, keep: 2}
+	if l.wants(9) {
+		t.Fatal("duration below the threshold accepted")
 	}
-	entries := tr.SlowEntries()
-	if len(entries) != 2 {
-		t.Fatalf("kept %d entries, want 2", len(entries))
+	for _, d := range []int64{20, 40, 30, 15, 10} {
+		if l.wants(d) {
+			l.add(SlowEntry{Trace: d, DurNS: d})
+		}
 	}
-	if entries[0].DurNS < entries[1].DurNS {
-		t.Fatal("slow log not sorted slowest first")
+	entries := l.entries()
+	if len(entries) != 2 || entries[0].DurNS != 40 || entries[1].DurNS != 30 {
+		t.Fatalf("kept %+v, want durations [40 30]", entries)
 	}
-	if entries[0].Trace != 3 {
-		t.Fatalf("slowest should be txn 3, got %d", entries[0].Trace)
-	}
-	if len(entries[0].Spans) == 0 {
-		t.Fatal("slow entry lost its span tree")
+	if l.wants(30) || !l.wants(31) {
+		t.Fatal("a full log must admit only durations beating its fastest entry")
 	}
 
 	disabled := NewTracerCfg(TracerConfig{SlowThreshold: -1})
@@ -208,6 +211,146 @@ func TestSlowLogKeepsSlowest(t *testing.T) {
 	root.End()
 	if len(disabled.SlowEntries()) != 0 {
 		t.Fatal("negative threshold should disable the slow log")
+	}
+}
+
+// TestSlowLogCapturesSlowRoot: ending a root at or over the threshold
+// captures the trace's span tree, read through the per-trace index.
+func TestSlowLogCapturesSlowRoot(t *testing.T) {
+	tr := NewTracerCfg(TracerConfig{SpanCapacity: 8, SlowThreshold: time.Millisecond})
+	for txn := int64(100); txn < 110; txn++ { // other traces wrap the ring
+		tr.StartRoot(txn, "host", "commit").End()
+	}
+	root := tr.StartRoot(7, "host", "commit")
+	tr.StartSpan(root.Ctx(), "host", "phase1").End()
+	time.Sleep(time.Millisecond)
+	root.End()
+	var got *SlowEntry
+	for _, e := range tr.SlowEntries() {
+		if e.Trace == 7 {
+			got = &e
+		}
+	}
+	if got == nil {
+		t.Fatal("slow root not captured")
+	}
+	if len(got.Spans) != 2 {
+		t.Fatalf("captured %d spans, want the root and its child: %+v", len(got.Spans), got.Spans)
+	}
+	for _, sp := range got.Spans {
+		if sp.Trace != 7 {
+			t.Fatalf("captured a span of another trace: %+v", sp)
+		}
+	}
+}
+
+// scanByTrace is the reference for the per-trace index: a scan of the
+// whole ring, oldest slot first, then the open spans. Caller holds s.mu.
+func scanByTrace(s *spanStore, trace, at int64) []Span {
+	ring := append([]Span{}, s.buf[:s.next]...)
+	if s.full {
+		ring = append(append([]Span{}, s.buf[s.next:]...), ring...)
+	}
+	var out []Span
+	for _, sp := range ring {
+		if sp.Trace == trace && len(out) < maxSpansPerEntry {
+			out = append(out, sp)
+		}
+	}
+	for _, sp := range s.open {
+		if sp.Trace == trace && len(out) < maxSpansPerEntry {
+			c := *sp
+			c.Open = true
+			c.DurNS = at - c.StartNS
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// TestSpanIndexMatchesRingScan drives random push/open/end sequences that
+// wrap small rings many times and checks after every step that the
+// indexed per-trace read returns exactly what a full ring scan returns:
+// the completed spans in ring order, and the same set once sorted as
+// SpansByTrace sorts it. The marker variant first fills the open-span
+// table to maxOpenSpans, so new spans go straight into the ring.
+func TestSpanIndexMatchesRingScan(t *testing.T) {
+	const traces = 5
+	for _, capacity := range []int{1, 2, 7, 64} {
+		for _, markers := range []bool{false, true} {
+			t.Run(fmt.Sprintf("cap%d/markers=%v", capacity, markers), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(capacity)))
+				tr := NewTracerCfg(TracerConfig{SpanCapacity: capacity, SlowThreshold: -1})
+				if markers {
+					// A leaked trace holds all but two open slots.
+					for i := 0; i < maxOpenSpans-2; i++ {
+						tr.StartSpanInTrace(traces+1, 0, "leak", "open")
+					}
+				}
+				// Every check scans the open table once per trace, so the
+				// marker variant (16 Ki open spans) checks less often.
+				steps, every := 100*capacity+300, 1
+				if markers {
+					every = 32
+				}
+				var live []*SpanHandle
+				for step := 0; step < steps; step++ {
+					trace := int64(1 + rng.Intn(traces))
+					switch r := rng.Intn(10); {
+					case r < 4:
+						push(tr, Span{Trace: trace, ID: int64(-step - 1), StartNS: rng.Int63n(1000), Op: "pushed"})
+					case r < 6:
+						live = append(live, tr.StartSpanInTrace(trace, 0, "c", "op"))
+					case len(live) > 0:
+						k := rng.Intn(len(live))
+						live[k].End()
+						live = append(live[:k], live[k+1:]...)
+					}
+					if step%every == 0 {
+						checkSpanIndex(t, tr.s, traces)
+					}
+				}
+				for _, h := range live {
+					h.End()
+					checkSpanIndex(t, tr.s, traces)
+				}
+			})
+		}
+	}
+}
+
+// sameSpans is reflect.DeepEqual that treats nil and empty as equal.
+func sameSpans(a, b []Span) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+func checkSpanIndex(t *testing.T, s *spanStore, traces int64) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.traces) > len(s.buf) {
+		t.Fatalf("index holds %d traces, ring has %d slots", len(s.traces), len(s.buf))
+	}
+	for trace := int64(1); trace <= traces+1; trace++ {
+		if trace == traces+1 && len(s.open) > maxSpansPerEntry {
+			continue // the leaked trace overflows the cap; map order decides which open spans make it
+		}
+		got := s.byTraceLocked(trace, 1e12)
+		want := scanByTrace(s, trace, 1e12)
+		var completed []Span
+		for _, sp := range want {
+			if !sp.Open {
+				completed = append(completed, sp)
+			}
+		}
+		if len(got) < len(completed) || !sameSpans(got[:len(completed)], completed) {
+			t.Fatalf("trace %d: completed spans %+v, ring scan %+v", trace, got, completed)
+		}
+		sortSpans(got)
+		sortSpans(want)
+		if !sameSpans(got, want) {
+			t.Fatalf("trace %d: indexed %+v, ring scan %+v", trace, got, want)
+		}
 	}
 }
 

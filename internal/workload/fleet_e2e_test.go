@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -260,5 +261,38 @@ func TestMemberAdminIsolated(t *testing.T) {
 
 	if h := st.MemberAdmin("nope").Handler(); h == nil {
 		t.Fatal("unknown member must still yield a handler")
+	}
+}
+
+// TestKillRestartDuringFederate: a member crash-looping while the
+// collector federates must never deadlock. A crash rebuilds the engine's
+// lock manager, which re-registers the lock_* metrics, while a scrape
+// evaluates engine_lock_pressure, which reads the engine latch; the two
+// must not hold the registry lock and the latch in opposite orders.
+func TestKillRestartDuringFederate(t *testing.T) {
+	st := testStack(t)
+	plane := st.NewFleetPlane(fleet.HealthConfig{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			st.Kill("fs1")
+			st.Restart("fs1")
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			plane.Collector.Federate()
+		}
+	}()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("Kill/Restart against Federate deadlocked:\n%s", buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -530,6 +530,7 @@ func (st *Stack) EngineStats() engine.Stats {
 		agg.Lock.Escalations += s.Lock.Escalations
 		agg.Log.Appends += s.Log.Appends
 		agg.Log.Bytes += s.Log.Bytes
+		agg.Log.Syncs += s.Log.Syncs
 		agg.Log.LogFulls += s.Log.LogFulls
 	}
 	return agg

@@ -71,6 +71,10 @@ func TestRunnerFixedOps(t *testing.T) {
 	if res.Inserts == 0 {
 		t.Fatal("no inserts in a default mix")
 	}
+	// DLFMs commit with SyncCommit on, so committed links forced the log.
+	if got := st.EngineStats().Log.Syncs; got == 0 {
+		t.Fatal("EngineStats reports 0 log syncs after committed links")
+	}
 	if res.LatencyP50 <= 0 || res.LatencyMax < res.LatencyP95 || res.LatencyP95 < res.LatencyP50 {
 		t.Fatalf("latency percentiles inconsistent: %+v", res)
 	}
