@@ -37,6 +37,8 @@ type ChildAgent struct {
 	ops     int  // operations since the last intermediate commit
 	txnRow  bool // an 'F' row for cur exists in dlfm_txn
 	wrote   bool // cur performed a write on this DLFM (read-only vote)
+
+	span *obs.SpanHandle // the handle:<Req> span of the request being served
 }
 
 // NewAgent implements rpc.AgentFactory: one child agent per connection.
@@ -88,16 +90,18 @@ var ok = rpc.Response{}
 // inner lock_wait/wal_fsync spans credit their own buckets while the
 // coordinator's rpc:* spans absorb the rest as network+dispatch time.
 func (a *ChildAgent) HandleCtx(ctx obs.SpanCtx, req any) rpc.Response {
-	sp := a.srv.tracer.StartSpan(ctx, "agent", "handle:"+rpc.Name(req))
-	defer sp.End()
-	a.conn.SetSpanCtx(sp.Ctx())
+	a.span = a.srv.tracer.StartSpan(ctx, "agent", "handle:"+rpc.Name(req))
+	defer func() {
+		a.span.End()
+		a.span = nil
+	}()
+	a.conn.SetSpanCtx(a.span.Ctx())
 	return a.Handle(req)
 }
 
 // Handle dispatches one request. Requests on a connection are served
 // serially by the RPC layer.
 func (a *ChildAgent) Handle(req any) rpc.Response {
-	a.srv.tracer.Emit(rpc.TxnOf(req), "agent", "dispatch", rpc.Name(req))
 	if a.srv.IsStandby() {
 		// Write fencing: a hot spare serves reads and the replication
 		// stream only. Anything transactional is refused until Promote.
@@ -206,7 +210,6 @@ func (a *ChildAgent) beginTxn(r rpc.BeginTxnReq) rpc.Response {
 	a.ops = 0
 	a.txnRow = false
 	a.wrote = false
-	a.srv.tracer.Emit(r.Txn, "agent", "txn_begin", "")
 	return ok
 }
 
@@ -299,7 +302,6 @@ func (a *ChildAgent) linkFile(r rpc.LinkFileReq) rpc.Response {
 	}
 	a.srv.stats.Links.Add(1)
 	a.srv.linkHist.Observe(time.Since(start))
-	a.srv.tracer.Emit(r.Txn, "agent", "link", r.Name)
 	return ok
 }
 
@@ -359,7 +361,6 @@ func (a *ChildAgent) unlinkFile(r rpc.UnlinkFileReq) rpc.Response {
 		return fail(err)
 	}
 	a.srv.stats.Unlinks.Add(1)
-	a.srv.tracer.Emit(r.Txn, "agent", "unlink", r.Name)
 	return ok
 }
 
@@ -417,7 +418,7 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 			a.conn.Rollback()
 		}
 		a.srv.stats.ReadOnlyVotes.Add(1)
-		a.srv.tracer.Emit(r.Txn, "agent", "prepare_vote_readonly", "")
+		a.span.Attr("vote", "readonly")
 		a.resetTxn()
 		return rpc.Response{ReadOnly: true}
 	}
@@ -448,14 +449,14 @@ func (a *ChildAgent) prepare(r rpc.PrepareReq) rpc.Response {
 	}
 	a.srv.stats.Prepares.Add(1)
 	a.srv.prepareHist.Observe(time.Since(start))
-	a.srv.tracer.Emit(r.Txn, "agent", "prepare_vote_yes", "")
+	a.span.Attr("vote", "yes")
 	return ok
 }
 
 // voteNo rolls the local transaction back after a failed prepare.
 func (a *ChildAgent) voteNo() {
 	a.srv.stats.PrepareFails.Add(1)
-	a.srv.tracer.Emit(a.cur, "agent", "prepare_vote_no", "")
+	a.span.Attr("vote", "no")
 	if a.conn.InTxn() {
 		a.conn.Rollback()
 	}
@@ -518,7 +519,7 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 			a.conn.Rollback()
 		}
 		a.srv.stats.PrepareFails.Add(1)
-		a.srv.tracer.Emit(r.Txn, "agent", "one_phase_abort", "")
+		a.span.Attr("outcome", "abort")
 		a.resetTxn()
 		return fail(err)
 	}
@@ -554,7 +555,7 @@ func (a *ChildAgent) onePhaseCommit(r rpc.OnePhaseCommitReq) rpc.Response {
 	a.srv.copyd.kick()
 	a.srv.stats.Commits.Add(1)
 	a.srv.stats.OnePhaseCommits.Add(1)
-	a.srv.tracer.Emit(r.Txn, "agent", "one_phase_commit", "")
+	a.span.Attr("outcome", "commit")
 	a.resetTxn()
 	if err := fpPhase2BeforeAck.FireDetail("onephase"); err != nil {
 		// The commit is durable but the acknowledgement is lost; the host

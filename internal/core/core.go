@@ -67,8 +67,8 @@ type Config struct {
 	Phase2BackoffCap time.Duration
 	// Phase2MaxRetries caps phase-2 retry attempts. The paper's DLFM "keeps
 	// retrying until it succeeds"; the cap surfaces a permanently wedged
-	// transaction (dlfm_phase2_giveups_total, 2pc/phase2_giveup trace event)
-	// instead of spinning forever — the transaction entry survives, so the
+	// transaction (dlfm_phase2_giveups_total and a severe response to the
+	// host) instead of spinning forever — the transaction entry survives, so the
 	// host's indoubt resolution re-drives it later. Zero or negative means
 	// retry forever.
 	Phase2MaxRetries int
@@ -109,10 +109,11 @@ type Config struct {
 	// database. Nil means a fresh registry labeled server=<ServerName> is
 	// created; retrieve it with Server.Obs.
 	Obs *obs.Registry
-	// Tracer receives the 2PC lifecycle trace events. Nil means a fresh
-	// ring of obs.DefaultTraceCapacity events is created; retrieve it with
-	// Server.Tracer. Multi-DLFM stacks share one tracer so the chain stays
-	// chronological.
+	// Tracer records this DLFM's spans (agent dispatch, lock waits, WAL
+	// fsyncs, daemon work). Nil means one is created from the process
+	// tracer config (obs.NewTracerDefault); retrieve it with
+	// Server.Tracer. Multi-DLFM stacks share one tracer, each DLFM through
+	// its own Named view, so a commit's spans form one tree.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, receives deadlock/timeout victim captures from
 	// the local lock manager. Stacks share one recorder so /debug/waitgraph
@@ -214,7 +215,7 @@ func newServer(cfg Config, fs *fsim.Server, arch *archive.Server, standby bool) 
 		cfg.Obs = obs.New().Label("server", cfg.ServerName)
 	}
 	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+		cfg.Tracer = obs.NewTracerDefault()
 	}
 	// The local database shares the DLFM's registry and tracer, so one
 	// scrape covers the whole instance: dlfm_*, engine_*, lock_*, wal_*.
@@ -296,7 +297,6 @@ func (s *Server) Promote() error {
 	s.startDaemons()
 	s.standby.Store(false)
 	s.stats.Promotes.Add(1)
-	s.tracer.Emit(0, "repl", "promote", s.cfg.ServerName)
 	return nil
 }
 
@@ -321,7 +321,7 @@ func (s *Server) Name() string { return s.cfg.ServerName }
 // local database), for /metrics exposition.
 func (s *Server) Obs() *obs.Registry { return s.obs }
 
-// Tracer returns the trace ring receiving this DLFM's 2PC lifecycle events.
+// Tracer returns the tracer recording this DLFM's spans.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // WaitEdges renders this DLFM's live lock wait-for edges with trace-id

@@ -708,7 +708,6 @@ func (s *Server) runDeleteGroup(conn *engine.Conn, txn int64, batchN int) error 
 		}
 		if errors.Is(err, engine.ErrLogFull) {
 			s.stats.DaemonLogFulls.Add(1)
-			s.tracer.Emit(txn, "daemon", "delete_group_log_full", "")
 		}
 		return err
 	}
@@ -772,7 +771,6 @@ func (s *Server) runDeleteGroup(conn *engine.Conn, txn int64, batchN int) error 
 			return abort(err)
 		}
 		s.stats.GroupsDeleted.Add(1)
-		s.tracer.Emitf(txn, "daemon", "group_deleted", "group %d", grpID)
 	}
 	if _, err := s.stmts.get(sqlDeleteTxn).Exec(conn, value.Int(txn)); err != nil {
 		return abort(err)
@@ -880,7 +878,6 @@ func (s *Server) learnWithGrace(conn *engine.Conn, grace time.Duration) error {
 		}
 		if resp.OK() {
 			s.stats.SelfResolved.Add(1)
-			s.tracer.Emit(txn, "2pc", "self_resolved", out)
 		}
 	}
 	return nil

@@ -124,7 +124,6 @@ func (a *ChildAgent) migratePut(r rpc.MigratePutReq) rpc.Response {
 		}
 	}
 	a.srv.stats.MigratedIn.Add(1)
-	a.srv.tracer.Emit(r.Txn, "agent", "migrate_put", r.Name)
 	return ok
 }
 
@@ -152,6 +151,5 @@ func (a *ChildAgent) migrateDel(r rpc.MigrateDelReq) rpc.Response {
 		n += nn
 	}
 	a.srv.stats.MigratedOut.Add(n)
-	a.srv.tracer.Emit(r.Txn, "agent", "migrate_del", "")
 	return rpc.Response{N: n}
 }

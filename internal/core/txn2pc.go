@@ -44,7 +44,6 @@ func (s *Server) phase2Commit(conn *engine.Conn, txn int64) rpc.Response {
 		if !retry {
 			if resp.OK() {
 				s.phase2Hist.Observe(time.Since(start))
-				s.tracer.Emit(txn, "2pc", "phase2_commit", "")
 			}
 			return resp
 		}
@@ -55,7 +54,6 @@ func (s *Server) phase2Commit(conn *engine.Conn, txn int64) rpc.Response {
 			return s.phase2Giveup(txn, "commit")
 		}
 		s.stats.Phase2Retries.Add(1)
-		s.tracer.Emit(txn, "2pc", "phase2_retry", "commit")
 		if d := bo.Delay(attempt); d > 0 {
 			time.Sleep(d)
 		}
@@ -69,7 +67,6 @@ func (s *Server) phase2Commit(conn *engine.Conn, txn int64) rpc.Response {
 // only stops this agent from spinning forever while holding its connection.
 func (s *Server) phase2Giveup(txn int64, what string) rpc.Response {
 	s.stats.Phase2Giveups.Add(1)
-	s.tracer.Emit(txn, "2pc", "phase2_giveup", what)
 	return failCode("severe", "phase-2 %s of transaction %d gave up after %d attempts", what, txn, s.cfg.Phase2MaxRetries)
 }
 
@@ -218,9 +215,6 @@ func (s *Server) phase2Abort(conn *engine.Conn, txn int64) rpc.Response {
 	for attempt := 0; ; attempt++ {
 		resp, retry := s.tryAbort(conn, txn)
 		if !retry {
-			if resp.OK() {
-				s.tracer.Emit(txn, "2pc", "phase2_abort", "")
-			}
 			return resp
 		}
 		if conn.InTxn() {
@@ -230,7 +224,6 @@ func (s *Server) phase2Abort(conn *engine.Conn, txn int64) rpc.Response {
 			return s.phase2Giveup(txn, "abort")
 		}
 		s.stats.Phase2Retries.Add(1)
-		s.tracer.Emit(txn, "2pc", "phase2_retry", "abort")
 		if d := bo.Delay(attempt); d > 0 {
 			time.Sleep(d)
 		}
@@ -295,6 +288,5 @@ func (s *Server) tryAbort(conn *engine.Conn, txn int64) (rpc.Response, bool) {
 	}
 	s.stats.Compensations.Add(1)
 	s.stats.Aborts.Add(1)
-	s.tracer.Emit(txn, "2pc", "compensation", "")
 	return ok, false
 }

@@ -74,7 +74,8 @@ type Config struct {
 	// Obs, when non-nil, receives the engine's counters and histograms
 	// (engine_*, lock_*, wal_* metric names) for /metrics exposition.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives lock/WAL/recovery trace events.
+	// Tracer, when non-nil, receives the lock_wait and wal_fsync spans of
+	// transactions bound to a trace.
 	Tracer *obs.Tracer
 	// Flight, when non-nil, records deadlock/timeout victims (wait-for
 	// graph + span tree) for post-mortem via /debug/waitgraph.
@@ -135,7 +136,7 @@ type table struct {
 type DB struct {
 	cfg Config
 	cat *catalog.Catalog
-	lm  *lock.Manager
+	lm  atomic.Pointer[lock.Manager] // replaced by Crash; see LockManager
 	log *wal.Log
 
 	// latch protects tables and their heaps/indexes. It is never held
@@ -195,11 +196,11 @@ func Open(cfg Config) (*DB, error) {
 		indoubt: make(map[int64]*txn),
 	}
 	db.tracer = cfg.Tracer
-	db.lm = lock.NewManager(db.lockConfig())
+	db.lm.Store(lock.NewManager(db.lockConfig()))
 	if cfg.WALSyncDelay > 0 {
 		db.log.SetSyncDelay(cfg.WALSyncDelay)
 	}
-	db.log.Instrument(cfg.Obs, cfg.Tracer)
+	db.log.Instrument(cfg.Obs)
 	db.registerMetrics(cfg.Obs)
 	if cfg.DataDir != "" {
 		st, err := storage.Open(cfg.DataDir, cfg.PoolPages, db.log.SyncIfDirty)
@@ -315,21 +316,17 @@ func (db *DB) Crash() error {
 	// before the crash (its anchors survive) or start after recovery.
 	db.ckptMu.Lock()
 	defer db.ckptMu.Unlock()
+	db.lm.Store(lm)
 	db.latch.Lock()
 	db.tables = make(map[string]*table)
 	db.cat = catalog.New()
 	db.indoubt = make(map[int64]*txn)
-	// The swap happens under the latch so concurrent diagnostic readers
-	// (admin wait-graph, stats scrapers) see either the old or the new
-	// manager, never a torn pointer.
-	db.lm = lm
 	db.latch.Unlock()
 	if db.store != nil {
 		// Drop pool frames and the working page mapping; the page file
 		// reverts to the last durable checkpoint, the WAL survives.
 		db.store.Crash()
 	}
-	db.tracer.Emit(0, "engine", "crash", db.cfg.Name)
 	return db.recoverDispatch()
 }
 
@@ -357,15 +354,10 @@ func (db *DB) Stats() Stats {
 func (db *DB) Catalog() *catalog.Catalog { return db.cat }
 
 // LockManager exposes lock diagnostics to tests and the benchmark harness.
-// Crash replaces the manager, so the pointer is read under the latch: a
-// caller racing a crash gets either the old or the new manager, both of
-// which are internally synchronized.
-func (db *DB) LockManager() *lock.Manager {
-	db.latch.Lock()
-	lm := db.lm
-	db.latch.Unlock()
-	return lm
-}
+// Crash replaces the manager with an atomic swap, so a caller racing a
+// crash gets either the old or the new manager, both of which are
+// internally synchronized, without taking the latch.
+func (db *DB) LockManager() *lock.Manager { return db.lm.Load() }
 
 // SetLockTimeout adjusts the lock timeout at runtime (experiment E7 sweeps
 // it).

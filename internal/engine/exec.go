@@ -277,6 +277,7 @@ func (c *Conn) execSelect(s sql.Select, pl *plan, params []value.Value) ([]value
 
 func (c *Conn) execSelectPlanned(s sql.Select, pl *plan, params []value.Value) ([]value.Row, error) {
 	db := c.db
+	lm := db.lm.Load()
 	db.selects.Add(1)
 	t := c.begin()
 	if t.aborted {
@@ -313,7 +314,7 @@ func (c *Conn) execSelectPlanned(s sql.Select, pl *plan, params []value.Value) (
 	if s.ForUpdate {
 		rowMode, tableMode = lock.X, lock.IX
 	}
-	if err := db.lm.Acquire(t.id, lock.TableTarget(s.Table), tableMode); err != nil {
+	if err := lm.Acquire(t.id, lock.TableTarget(s.Table), tableMode); err != nil {
 		c.autoAbort()
 		return nil, err
 	}
@@ -325,8 +326,8 @@ func (c *Conn) execSelectPlanned(s sql.Select, pl *plan, params []value.Value) (
 	var matched []value.Row
 	for _, rid := range cands {
 		tgt := lock.RowTarget(s.Table, rid)
-		prior := db.lm.Holds(t.id, tgt)
-		if err := db.lm.Acquire(t.id, tgt, rowMode); err != nil {
+		prior := lm.Holds(t.id, tgt)
+		if err := lm.Acquire(t.id, tgt, rowMode); err != nil {
 			c.autoAbort()
 			return nil, err
 		}
@@ -353,12 +354,12 @@ func (c *Conn) execSelectPlanned(s sql.Select, pl *plan, params []value.Value) (
 		if !ok {
 			// Non-qualifying rows never stay locked (cursor stability).
 			if prior == lock.None {
-				db.lm.Release(t.id, tgt)
+				lm.Release(t.id, tgt)
 			}
 			continue
 		}
 		if releasable {
-			db.lm.Release(t.id, tgt)
+			lm.Release(t.id, tgt)
 		}
 		matched = append(matched, copied)
 		if s.OrderBy == "" && s.Agg == sql.AggNone && limit >= 0 && len(matched) >= limit {
@@ -438,6 +439,7 @@ func projectRows(schema *catalog.TableSchema, s sql.Select, limit int, matched [
 
 func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 	db := c.db
+	lm := db.lm.Load()
 	t := c.begin()
 	if t.aborted {
 		return 0, ErrTxnAborted
@@ -497,7 +499,7 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 		}
 	}
 
-	if err := db.lm.Acquire(t.id, lock.TableTarget(s.Table), lock.IX); err != nil {
+	if err := lm.Acquire(t.id, lock.TableTarget(s.Table), lock.IX); err != nil {
 		c.autoAbort()
 		return 0, err
 	}
@@ -512,7 +514,7 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 	rid := tbl.nextRID
 	tbl.nextRID++
 	db.latch.Unlock()
-	if err := db.lm.Acquire(t.id, lock.RowTarget(s.Table, rid), lock.X); err != nil {
+	if err := lm.Acquire(t.id, lock.RowTarget(s.Table, rid), lock.X); err != nil {
 		c.autoAbort()
 		return 0, err
 	}
@@ -556,8 +558,8 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 			// duplicate (SQLCODE -803); if it vanished (owner rolled
 			// back), retry.
 			tgt := lock.RowTarget(s.Table, dupRID)
-			prior := db.lm.Holds(t.id, tgt)
-			if err := db.lm.Acquire(t.id, tgt, lock.S); err != nil {
+			prior := lm.Holds(t.id, tgt)
+			if err := lm.Acquire(t.id, tgt, lock.S); err != nil {
 				c.autoAbort()
 				return 0, err
 			}
@@ -565,7 +567,7 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 			_, stillThere := tbl.heap.Get(dupRID)
 			db.latch.Unlock()
 			if prior == lock.None {
-				db.lm.Release(t.id, tgt)
+				lm.Release(t.id, tgt)
 			}
 			if stillThere {
 				return 0, fmt.Errorf("%w (table %s)", ErrDuplicate, s.Table)
@@ -577,13 +579,13 @@ func (c *Conn) execInsert(s sql.Insert, params []value.Value) (int64, error) {
 		// key. This is the cross-index interleaving that deadlocks when
 		// several agents insert/delete concurrently (experiment E3).
 		for _, nk := range nextKeys {
-			prior := db.lm.Holds(t.id, nk)
-			if err := db.lm.Acquire(t.id, nk, lock.X); err != nil {
+			prior := lm.Holds(t.id, nk)
+			if err := lm.Acquire(t.id, nk, lock.X); err != nil {
 				c.autoAbort()
 				return 0, err
 			}
 			if prior == lock.None {
-				db.lm.Release(t.id, nk)
+				lm.Release(t.id, nk)
 			}
 		}
 
@@ -756,6 +758,7 @@ func (c *Conn) writeScan(tableName string, where []sql.Pred, pl *plan, params []
 	apply func(tbl *table, rid int64, row value.Row) error, keys keysFn) (int64, error) {
 
 	db := c.db
+	lm := db.lm.Load()
 	t := c.begin()
 	if t.aborted {
 		return 0, ErrTxnAborted
@@ -775,7 +778,7 @@ func (c *Conn) writeScan(tableName string, where []sql.Pred, pl *plan, params []
 	}
 	schema := meta.Schema
 
-	if err := db.lm.Acquire(t.id, lock.TableTarget(tableName), lock.IX); err != nil {
+	if err := lm.Acquire(t.id, lock.TableTarget(tableName), lock.IX); err != nil {
 		c.autoAbort()
 		return 0, err
 	}
@@ -787,8 +790,8 @@ func (c *Conn) writeScan(tableName string, where []sql.Pred, pl *plan, params []
 	var affected int64
 	for _, rid := range cands {
 		tgt := lock.RowTarget(tableName, rid)
-		prior := db.lm.Holds(t.id, tgt)
-		if err := db.lm.Acquire(t.id, tgt, lock.X); err != nil {
+		prior := lm.Holds(t.id, tgt)
+		if err := lm.Acquire(t.id, tgt, lock.X); err != nil {
 			c.autoAbort()
 			return 0, err
 		}
@@ -812,7 +815,7 @@ func (c *Conn) writeScan(tableName string, where []sql.Pred, pl *plan, params []
 			// Non-qualifying examined rows are unlocked immediately
 			// (cursor stability); qualifying ones stay X-locked to commit.
 			if prior == lock.None {
-				db.lm.Release(t.id, tgt)
+				lm.Release(t.id, tgt)
 			}
 			continue
 		}
@@ -850,13 +853,13 @@ func (c *Conn) writeScan(tableName string, where []sql.Pred, pl *plan, params []
 			rowSnapshot := row.Clone()
 			db.latch.Unlock()
 			for i, nk := range nextTargets {
-				priorNK := db.lm.Holds(t.id, nk)
-				if err := db.lm.Acquire(t.id, nk, lock.X); err != nil {
+				priorNK := lm.Holds(t.id, nk)
+				if err := lm.Acquire(t.id, nk, lock.X); err != nil {
 					c.autoAbort()
 					return 0, err
 				}
 				if !heldDur[i] && priorNK == lock.None {
-					db.lm.Release(t.id, nk)
+					lm.Release(t.id, nk)
 				}
 			}
 			// Re-verify the row after the unlatched window.

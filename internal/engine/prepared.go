@@ -130,7 +130,7 @@ func (db *DB) ResolveIndoubt(txnID int64, commit bool) error {
 		if _, err := db.log.Append(wal.Record{Txn: t.id, Type: wal.RecCommit}); err != nil {
 			return err
 		}
-		db.lm.ReleaseAll(t.id)
+		db.lm.Load().ReleaseAll(t.id)
 		db.commits.Add(1)
 		return nil
 	}
@@ -170,10 +170,11 @@ func (db *DB) restoreIndoubtLocked(txnID int64, recs []wal.Record) {
 	}
 	// Locks are re-acquired outside the latch path via the lock manager
 	// directly; no other transactions exist during recovery.
+	lm := db.lm.Load()
 	for tgt := range touched {
 		// Ignore errors: an empty lock manager cannot block or deadlock.
-		_ = db.lm.Acquire(txnID, lock.TableTarget(tgt.Table), lock.IX)
-		_ = db.lm.Acquire(txnID, tgt, lock.X)
+		_ = lm.Acquire(txnID, lock.TableTarget(tgt.Table), lock.IX)
+		_ = lm.Acquire(txnID, tgt, lock.X)
 	}
 	db.indoubt[txnID] = t
 }

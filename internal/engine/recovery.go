@@ -69,14 +69,11 @@ func (db *DB) recover() error {
 	}
 	for txnID := range prepared {
 		db.restoreIndoubtLocked(txnID, recs)
-		db.tracer.Emitf(txnID, "engine", "recovery_indoubt", "%s restored prepared", db.cfg.Name)
 	}
 	if maxTxn >= db.nextTxn.Load() {
 		db.nextTxn.Store(maxTxn)
 	}
 	db.lastRecovery = RecoveryStats{Records: len(recs), Replayed: len(recs), Indoubt: len(prepared)}
-	db.tracer.Emitf(0, "engine", "recovery_done", "%s: %d records, %d committed, %d indoubt",
-		db.cfg.Name, len(recs), len(committed), len(prepared))
 	return nil
 }
 

@@ -22,6 +22,7 @@ func (db *DB) WAL() *wal.Log { return db.log }
 // table IX), so standby readers never observe a half-applied transaction.
 // On failure every lock the transaction holds is released.
 func (db *DB) lockRecsTargets(txnID int64, recs []wal.Record) error {
+	lm := db.lm.Load()
 	locked := make(map[lock.Target]bool)
 	for _, r := range recs {
 		switch r.Type {
@@ -33,12 +34,12 @@ func (db *DB) lockRecsTargets(txnID int64, recs []wal.Record) error {
 		if locked[tgt] {
 			continue
 		}
-		if err := db.lm.Acquire(txnID, lock.TableTarget(r.Table), lock.IX); err != nil {
-			db.lm.ReleaseAll(txnID)
+		if err := lm.Acquire(txnID, lock.TableTarget(r.Table), lock.IX); err != nil {
+			lm.ReleaseAll(txnID)
 			return err
 		}
-		if err := db.lm.Acquire(txnID, tgt, lock.X); err != nil {
-			db.lm.ReleaseAll(txnID)
+		if err := lm.Acquire(txnID, tgt, lock.X); err != nil {
+			lm.ReleaseAll(txnID)
 			return err
 		}
 		locked[tgt] = true
@@ -72,23 +73,24 @@ func (db *DB) ApplyDDL(r wal.Record) error {
 // concurrent standby readers; on error (lock timeout, deadlock victim)
 // nothing has been applied and the caller may retry.
 func (db *DB) ApplyCommitted(txnID int64, recs []wal.Record) error {
+	lm := db.lm.Load()
 	if err := db.lockRecsTargets(txnID, recs); err != nil {
 		return err
 	}
 	for _, r := range recs {
 		rec := wal.Record{Txn: txnID, Type: r.Type, Table: r.Table, RID: r.RID, Before: r.Before, After: r.After}
 		if _, err := db.log.Append(rec); err != nil {
-			db.lm.ReleaseAll(txnID)
+			lm.ReleaseAll(txnID)
 			return err
 		}
 	}
 	if _, err := db.log.Append(wal.Record{Txn: txnID, Type: wal.RecCommit}); err != nil {
-		db.lm.ReleaseAll(txnID)
+		lm.ReleaseAll(txnID)
 		return err
 	}
 	if db.cfg.SyncCommit {
 		if err := db.log.Sync(); err != nil {
-			db.lm.ReleaseAll(txnID)
+			lm.ReleaseAll(txnID)
 			return err
 		}
 	}
@@ -102,7 +104,7 @@ func (db *DB) ApplyCommitted(txnID int64, recs []wal.Record) error {
 	}
 	db.bumpTxnID(txnID)
 	db.latch.Unlock()
-	db.lm.ReleaseAll(txnID)
+	lm.ReleaseAll(txnID)
 	if applyErr != nil {
 		return fmt.Errorf("engine: repl apply txn %d: %w", txnID, applyErr)
 	}
@@ -116,22 +118,23 @@ func (db *DB) ApplyCommitted(txnID int64, recs []wal.Record) error {
 // crash recovery would restore. The coordinator's later decision arrives
 // through ResolveIndoubt.
 func (db *DB) ApplyPrepared(txnID int64, recs []wal.Record) error {
+	lm := db.lm.Load()
 	if err := db.lockRecsTargets(txnID, recs); err != nil {
 		return err
 	}
 	for _, r := range recs {
 		rec := wal.Record{Txn: txnID, Type: r.Type, Table: r.Table, RID: r.RID, Before: r.Before, After: r.After}
 		if _, err := db.log.Append(rec); err != nil {
-			db.lm.ReleaseAll(txnID)
+			lm.ReleaseAll(txnID)
 			return err
 		}
 	}
 	if _, err := db.log.Append(wal.Record{Txn: txnID, Type: wal.RecPrepare}); err != nil {
-		db.lm.ReleaseAll(txnID)
+		lm.ReleaseAll(txnID)
 		return err
 	}
 	if err := db.log.Sync(); err != nil {
-		db.lm.ReleaseAll(txnID)
+		lm.ReleaseAll(txnID)
 		return err
 	}
 	db.latch.Lock()
@@ -139,7 +142,7 @@ func (db *DB) ApplyPrepared(txnID int64, recs []wal.Record) error {
 	t := &txn{id: txnID, prepared: true, wrote: true}
 	for _, r := range recs {
 		if err := db.applyRedoLocked(r); err != nil {
-			db.lm.ReleaseAll(txnID)
+			lm.ReleaseAll(txnID)
 			return fmt.Errorf("engine: repl apply prepared txn %d: %w", txnID, err)
 		}
 		switch r.Type {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"log/slog"
 	"sort"
 	"strings"
 	"time"
@@ -149,16 +150,12 @@ func (db *DB) recoverStorage() error {
 		}
 		db.restoreIndoubtLocked(txnID, recs)
 		stats.Indoubt++
-		db.tracer.Emitf(txnID, "engine", "recovery_indoubt", "%s restored prepared", db.cfg.Name)
 	}
 
 	if maxTxn >= db.nextTxn.Load() {
 		db.nextTxn.Store(maxTxn)
 	}
 	db.lastRecovery = stats
-	db.tracer.Emitf(0, "engine", "recovery_done",
-		"%s: storage tail from LSN %d, %d records, %d replayed, %d undone, %d indoubt",
-		db.cfg.Name, meta.StartLSN, len(recs), stats.Replayed, stats.Undone, stats.Indoubt)
 	return nil
 }
 
@@ -362,12 +359,7 @@ func (db *DB) checkpointStorage() error {
 		}
 		meta.Tables = append(meta.Tables, tm)
 	}
-	if err := db.store.Checkpoint(meta); err != nil {
-		return err
-	}
-	db.tracer.Emitf(0, "engine", "checkpoint", "%s fuzzy checkpoint at LSN %d (%d tables)",
-		db.cfg.Name, startLSN, len(meta.Tables))
-	return nil
+	return db.store.Checkpoint(meta)
 }
 
 // checkpointDaemon periodically checkpoints until stop closes.
@@ -380,7 +372,7 @@ func (db *DB) checkpointDaemon(every time.Duration, stop chan struct{}) {
 			return
 		case <-tick.C:
 			if err := db.checkpointStorage(); err != nil {
-				db.tracer.Emitf(0, "engine", "checkpoint_error", "%s: %v", db.cfg.Name, err)
+				slog.Warn("engine: fuzzy checkpoint failed", "db", db.cfg.Name, "err", err)
 			}
 		}
 	}

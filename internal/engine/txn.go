@@ -127,7 +127,7 @@ func (c *Conn) Commit() error {
 	} else {
 		c.db.log.ForgetTxn(t.id)
 	}
-	c.db.lm.ReleaseAll(t.id)
+	c.db.lm.Load().ReleaseAll(t.id)
 	c.db.tracer.UnbindTxn(t.id)
 	c.db.commits.Add(1)
 	c.txn = nil
@@ -192,7 +192,7 @@ func (db *DB) rollbackTxn(t *txn) {
 	} else {
 		db.log.ForgetTxn(t.id)
 	}
-	db.lm.ReleaseAll(t.id)
+	db.lm.Load().ReleaseAll(t.id)
 	db.tracer.UnbindTxn(t.id)
 	db.rollbacks.Add(1)
 	t.aborted = true

@@ -221,9 +221,9 @@ func (r *E15Report) publish(reg *obs.Registry) {
 		if l.Shedding {
 			suffix = "_on"
 		}
-		reg.Gauge("e15_raw_throughput"+suffix+"_per_s").Set(int64(l.Throughput))
-		reg.Gauge("e15_raw_shed_rate"+suffix+"_milli").Set(int64(l.ShedRate * 1000))
-		reg.Gauge("e15_raw_p99"+suffix+"_ms").Set(l.LatencyP99.Milliseconds())
+		reg.Gauge("e15_raw_throughput" + suffix + "_per_s").Set(int64(l.Throughput))
+		reg.Gauge("e15_raw_shed_rate" + suffix + "_milli").Set(int64(l.ShedRate * 1000))
+		reg.Gauge("e15_raw_p99" + suffix + "_ms").Set(l.LatencyP99.Milliseconds())
 		reg.Counter("e15_raw_commits" + suffix + "_total").Add(l.Commits)
 		reg.Counter("e15_raw_shed" + suffix + "_total").Add(l.Shed)
 	}

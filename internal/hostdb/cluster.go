@@ -176,12 +176,7 @@ func (db *DB) mover(m *cluster.Map) *cluster.Mover {
 			if err != nil {
 				return nil, err
 			}
-			c, err := dial()
-			if err != nil {
-				return nil, err
-			}
-			c.SetTracer(db.tracer)
-			return c, nil
+			return dial()
 		},
 		BeginTxn: func() int64 {
 			txn := db.NextTxn()

@@ -2,6 +2,7 @@ package hostdb
 
 import (
 	"fmt"
+	"log/slog"
 )
 
 // standbyEntry is one registered hot standby: where to reach it once
@@ -49,7 +50,7 @@ func (db *DB) noteDLFMFailure(server string, cause error) {
 	db.failCount[server]++
 	n := db.failCount[server]
 	db.mu.Unlock()
-	db.tracer.Emitf(0, "host", "dlfm_failure", "%s: %d/%d: %v", server, n, db.cfg.FailoverThreshold, cause)
+	slog.Warn("hostdb: DLFM failure", "server", server, "failures", n, "threshold", db.cfg.FailoverThreshold, "err", cause)
 	if n >= db.cfg.FailoverThreshold {
 		db.Failover(server) //nolint:errcheck // a failed promote retries on the next threshold trip
 	}
@@ -88,7 +89,6 @@ func (db *DB) Failover(server string) error {
 	sb.inProgress = true
 	db.mu.Unlock()
 
-	db.tracer.Emitf(0, "host", "failover", "%s: promoting standby", server)
 	err := sb.promote()
 
 	db.mu.Lock()
@@ -100,14 +100,13 @@ func (db *DB) Failover(server string) error {
 	}
 	db.mu.Unlock()
 	if err != nil {
-		db.tracer.Emitf(0, "host", "failover_failed", "%s: %v", server, err)
+		slog.Warn("hostdb: failover promote failed", "server", server, "err", err)
 		return fmt.Errorf("hostdb: failover of %q: promote: %w", server, err)
 	}
 	db.stats.Failovers.Add(1)
-	db.tracer.Emitf(0, "host", "failover_done", "%s", server)
 	// Settle what the crash left prepared, now against the promoted standby.
 	if _, rerr := db.ResolveIndoubts(); rerr != nil {
-		db.tracer.Emitf(0, "host", "failover_resolve_error", "%s: %v", server, rerr)
+		slog.Warn("hostdb: indoubt resolution after failover failed", "server", server, "err", rerr)
 	}
 	return nil
 }

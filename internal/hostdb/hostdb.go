@@ -97,8 +97,9 @@ type Config struct {
 	// those of its engine. Nil creates a fresh registry labeled
 	// host=<Name>; retrieve it with DB.Obs.
 	Obs *obs.Registry
-	// Tracer receives host-side 2PC trace events. Nil creates a fresh
-	// ring; share one tracer with the DLFMs for a unified chain.
+	// Tracer records the host side of each transaction's span tree. Nil
+	// creates one from the process tracer config (obs.NewTracerDefault);
+	// share one tracer with the DLFMs so each commit is a single tree.
 	Tracer *obs.Tracer
 }
 
@@ -235,7 +236,7 @@ func Open(cfg Config) (*DB, error) {
 		cfg.Obs = obs.New().Label("host", cfg.Name)
 	}
 	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
+		cfg.Tracer = obs.NewTracerDefault()
 	}
 	cfg.DB.Obs = cfg.Obs
 	cfg.DB.Tracer = cfg.Tracer
@@ -300,7 +301,7 @@ func (db *DB) Engine() *engine.DB { return db.eng }
 // Obs returns the registry holding the host's metrics.
 func (db *DB) Obs() *obs.Registry { return db.obs }
 
-// Tracer returns the trace ring receiving host-side 2PC events.
+// Tracer returns the tracer recording host-side spans.
 func (db *DB) Tracer() *obs.Tracer { return db.tracer }
 
 // observeAttribution folds the finished commit's span tree into the

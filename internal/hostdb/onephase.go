@@ -32,7 +32,6 @@ func (s *Session) commitOnePhase(p *participant) error {
 	if root != nil {
 		s.conn.SetSpanCtx(root.Ctx())
 	}
-	db.tracer.Emit(txn, "host", "1pc_delegate", p.server)
 
 	// Harden the host branch first: the participant is the commit point,
 	// so by the time it decides, the host must be able to follow either
@@ -90,7 +89,6 @@ func (s *Session) commitOnePhase(p *participant) error {
 		db.stats.Commits.Add(1)
 		db.stats.OnePhaseCommits.Add(1)
 		db.commitHist.ObserveEx(time.Since(start), txn)
-		db.tracer.Emit(txn, "host", "1pc_done", p.server)
 		s.finishTxn()
 		return nil
 	}

@@ -179,8 +179,6 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 		s.finishTxn()
 		return fmt.Errorf("hostdb: txn %d chosen commit but host branch failed to land: %v", txn, err)
 	}
-	db.tracer.Emit(txn, "host", "paxos_decision_commit", "")
-
 	if err := fpLeaderCrash.FireDetail("post"); err != nil {
 		// Crashed after the decision but before phase 2 — 2PC's wedging
 		// window. Here the commit is already learnable from the acceptors,
@@ -205,7 +203,6 @@ func (s *Session) commitPaxos(root, p1 *obs.SpanHandle, writers []*participant, 
 	db.stats.Commits.Add(1)
 	db.stats.PaxosCommits.Add(1)
 	db.commitHist.ObserveEx(time.Since(start), txn)
-	db.tracer.Emit(txn, "host", "2pc_done", "paxos")
 	s.finishTxn()
 	return nil
 }
@@ -222,7 +219,7 @@ func (s *Session) paxosRecover(root *obs.SpanHandle, writers []*participant, txn
 		return s.paxosNoQuorum(txn, err)
 	}
 	db.stats.PaxosRecoveries.Add(1)
-	db.tracer.Emit(txn, "host", "paxos_recovered", out)
+	root.Attr("paxos_recovered", out)
 
 	if out == paxoscommit.OutcomeCommit {
 		if err := s.conn.CommitPrepared(); err != nil {
@@ -239,7 +236,6 @@ func (s *Session) paxosRecover(root *obs.SpanHandle, writers []*participant, txn
 		}
 		s.phase2Fanout(root, writers, txn, true)
 		db.stats.Commits.Add(1)
-		db.tracer.Emit(txn, "host", "2pc_done", "paxos_recovered")
 		s.finishTxn()
 		return nil
 	}

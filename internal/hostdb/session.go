@@ -105,7 +105,6 @@ func (s *Session) begin() error {
 		s.txn = s.db.NextTxn()
 		s.dead = false
 		s.db.markActive(s.txn)
-		s.db.tracer.Emit(s.txn, "host", "txn_begin", "")
 		// The host txn id doubles as the trace id. Attaching it to the
 		// engine connection makes the engine bind its local txn id on the
 		// implicit begin, so host-side lock waits and fsyncs find their
@@ -131,7 +130,6 @@ func (s *Session) part(server string) (*participant, error) {
 			s.db.noteDLFMFailure(server, err)
 			return nil, fmt.Errorf("hostdb: connect to DLFM %q: %w", server, err)
 		}
-		client.SetTracer(s.db.tracer)
 		p = &participant{server: server, client: client}
 		s.parts[server] = p
 	}
@@ -845,7 +843,6 @@ func (s *Session) Commit() error {
 
 	start := time.Now()
 	txn := s.txn
-	s.db.tracer.Emitf(txn, "host", "2pc_prepare", "%d participants", len(enlisted))
 
 	// The root span covers the whole commit. Phase 1 runs from the first
 	// prepare through the durable decision write — Gray & Lamport's cost
@@ -933,7 +930,6 @@ func (s *Session) Commit() error {
 		committed = true
 		s.db.stats.Commits.Add(1)
 		s.db.commitHist.ObserveEx(time.Since(start), txn)
-		s.db.tracer.Emit(s.txn, "host", "2pc_done", "readonly")
 		s.finishTxn()
 		return nil
 	}
@@ -957,7 +953,6 @@ func (s *Session) Commit() error {
 	if err := s.commitLocal(); err != nil {
 		return s.abortCommit(txn, fmt.Errorf("%w: %v", ErrTxnRolledBack, err))
 	}
-	s.db.tracer.Emit(s.txn, "host", "2pc_decision_commit", "")
 	p1.End()
 	if err := fpBetweenPhases.Fire(); err != nil {
 		// The decision is already durable; the transaction IS committed even
@@ -978,7 +973,6 @@ func (s *Session) Commit() error {
 	committed = true
 	s.db.stats.Commits.Add(1)
 	s.db.commitHist.ObserveEx(time.Since(start), txn)
-	s.db.tracer.Emit(s.txn, "host", "2pc_done", "")
 	s.finishTxn()
 	return nil
 }
@@ -1127,7 +1121,6 @@ func (s *Session) Rollback() error {
 // rollbackInternal aborts DLFM participants and the local engine txn, then
 // marks the session dead until the application acknowledges.
 func (s *Session) rollbackInternal() {
-	s.db.tracer.Emit(s.txn, "host", "rollback", "")
 	s.abortParts()
 	if s.conn.InTxn() {
 		s.conn.Rollback()

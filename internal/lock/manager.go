@@ -111,8 +111,8 @@ type Config struct {
 	// Obs, when set, exposes the manager's counters and the lock-wait
 	// histogram on the registry (lock_* metric names).
 	Obs *obs.Registry
-	// Tracer, when set, receives wait/grant/deadlock/timeout/escalation
-	// events keyed by the local transaction id.
+	// Tracer, when set, records each lock wait as a lock_wait span (with
+	// its outcome) in the trace bound to the waiting local transaction.
 	Tracer *obs.Tracer
 	// Flight, when set, records every deadlock/timeout victim with the
 	// wait-for graph at that instant and the victim's span tree — the
@@ -405,7 +405,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 		ls.queue = append(ls.queue, w)
 	}
 	m.waits.Add(1)
-	m.tracer.Emitf(txn, "lock", "lock_wait", "%s on %s", want, tg)
 	sh.mu.Unlock()
 
 	// The wait span attributes blocked time to the transaction's trace
@@ -424,7 +423,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 	if m.cfg.DetectDeadlocks {
 		if cycle, edges, found := m.detectDeadlock(sh, ls, w); found {
 			m.deadlocks.Add(1)
-			m.tracer.Emitf(txn, "lock", "lock_deadlock", "%s on %s", want, tg)
 			span.Attr("outcome", "deadlock").End()
 			m.recordVictim("deadlock", txn, tg, cycle, edges)
 			return fmt.Errorf("%w (txn %d requesting %s on %s)", ErrDeadlock, txn, want, tg)
@@ -445,7 +443,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 	select {
 	case <-w.granted:
 		m.waitHist.Observe(time.Since(waitStart))
-		m.tracer.Emitf(txn, "lock", "lock_grant", "%s on %s after %v", want, tg, time.Since(waitStart).Round(time.Microsecond))
 		span.Attr("outcome", "grant").End()
 		return nil
 	case <-timeoutC:
@@ -483,7 +480,6 @@ func (m *Manager) acquireLocked(sh *shard, txn int64, ts *txnState, tg Target, w
 		m.timeouts.Add(1)
 		sh.mu.Unlock()
 		m.waitHist.Observe(time.Since(waitStart))
-		m.tracer.Emitf(txn, "lock", "lock_timeout", "%s on %s after %v", want, tg, timeout)
 		span.Attr("outcome", "timeout").End()
 		if m.flight != nil {
 			// Best-effort capture of the rest of the graph; the victim's own
@@ -648,7 +644,6 @@ func (m *Manager) escalateLocked(sh *shard, txn int64, ts *txnState, table strin
 	held := ts.held[tgt]
 	want := Join(held, tmode)
 	m.escalations.Add(1)
-	m.tracer.Emitf(txn, "lock", "lock_escalation", "%s to %s (%d row locks)", table, want, ts.rowLocks[table])
 
 	if err := m.acquireLocked(sh, txn, ts, tgt, want, held); err != nil {
 		return err

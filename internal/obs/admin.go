@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"strconv"
 	"strings"
 )
@@ -13,18 +14,18 @@ import (
 // Admin assembles the HTTP admin surface:
 //
 //	/metrics            Prometheus text exposition of every registry
-//	/debug/traces       JSON trace events; ?txn=<id> filters to one chain
 //	/debug/locks        live lock-table and waits-for dump
 //	/debug/txn/<id>     one transaction: span tree, timeline, attribution
 //	/debug/slow         slow-transaction log (N slowest span trees)
 //	/debug/waitgraph    live wait-for graph + flight-recorder history
 //	/debug/cluster      placement maps: membership, slot owners, moves
+//	/debug/pprof/       net/http/pprof runtime profiles
 //
 // The zero value serves empty responses; populate the fields before Start.
 type Admin struct {
 	// Registries are scraped in order by /metrics.
 	Registries []*Registry
-	// Tracer backs /debug/traces, /debug/txn, and /debug/slow.
+	// Tracer backs /debug/txn and /debug/slow.
 	Tracer *Tracer
 	// LockDump, when set, supplies the /debug/locks payload (the lock
 	// manager's Dump result); it is JSON-encoded as-is.
@@ -76,24 +77,6 @@ func (a *Admin) Handler() http.Handler {
 		}
 		bw.Flush()
 	})
-	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		events := a.Tracer.Events()
-		if q := req.URL.Query().Get("txn"); q != "" {
-			txn, err := strconv.ParseInt(q, 10, 64)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("bad txn %q: %v", q, err), http.StatusBadRequest)
-				return
-			}
-			events = a.Tracer.ByTxn(txn)
-		}
-		if events == nil {
-			events = []Event{}
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		enc.Encode(events) //nolint:errcheck
-	})
 	mux.HandleFunc("/debug/locks", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		var dump any
@@ -115,16 +98,11 @@ func (a *Admin) Handler() http.Handler {
 		if spans == nil {
 			spans = []Span{}
 		}
-		events := a.Tracer.ByTxn(txn)
-		if events == nil {
-			events = []Event{}
-		}
 		payload := map[string]any{
 			"txn":         txn,
 			"spans":       spans,
 			"timeline":    RenderTree(spans),
 			"attribution": a.Tracer.Attribution(txn),
-			"events":      events,
 		}
 		writeJSON(w, payload)
 	})
@@ -163,6 +141,11 @@ func (a *Admin) Handler() http.Handler {
 		}
 		writeJSON(w, map[string]any{"edges": edges})
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	for path, h := range a.Mounts {
 		mux.Handle(path, h)
 	}

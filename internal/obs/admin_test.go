@@ -14,10 +14,10 @@ func TestAdminEndpoints(t *testing.T) {
 	reg := New().Label("server", "fs1")
 	reg.Counter("dlfm_links_total").Add(2)
 	reg.Histogram("lock_wait_seconds").Observe(time.Millisecond)
-	tr := NewTracer(64)
-	tr.Emit(7, "agent", "link", "/data/f1")
-	tr.Emit(7, "agent", "prepare_vote_yes", "")
-	tr.Emit(8, "agent", "link", "/data/f2")
+	tr := NewTracerCfg(TracerConfig{})
+	root := tr.StartRoot(7, "host", "commit")
+	tr.StartSpan(root.Ctx(), "host", "phase1").End()
+	root.End()
 
 	admin := &Admin{
 		Registries: []*Registry{reg},
@@ -49,19 +49,18 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("unexpected /metrics:\n%s", metrics)
 	}
 
-	traces, _ := get("/debug/traces?txn=7")
-	var events []Event
-	if err := json.Unmarshal([]byte(traces), &events); err != nil {
-		t.Fatalf("traces decode: %v", err)
+	txn, _ := get("/debug/txn/7")
+	var payload struct {
+		Spans       []Span      `json:"spans"`
+		Timeline    []string    `json:"timeline"`
+		Attribution Attribution `json:"attribution"`
 	}
-	if len(events) != 2 || events[0].Kind != "link" || events[1].Kind != "prepare_vote_yes" {
-		t.Fatalf("traces = %v", events)
+	if err := json.Unmarshal([]byte(txn), &payload); err != nil {
+		t.Fatalf("txn decode: %v", err)
 	}
-
-	all, _ := get("/debug/traces")
-	var allEvents []Event
-	if err := json.Unmarshal([]byte(all), &allEvents); err != nil || len(allEvents) != 3 {
-		t.Fatalf("all traces = %v (err %v)", allEvents, err)
+	if len(payload.Spans) != 2 || len(payload.Timeline) != 2 ||
+		payload.Attribution.RootNS != payload.Spans[0].DurNS || payload.Attribution.Buckets["phase1"] == 0 {
+		t.Fatalf("/debug/txn/7 = %s", txn)
 	}
 
 	locks, _ := get("/debug/locks")
@@ -73,13 +72,24 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("locks dump = %v", dump)
 	}
 
-	// Bad txn filter is a 400, not a panic.
-	resp, err := http.Get(ts.URL + "/debug/traces?txn=abc")
-	if err != nil {
-		t.Fatal(err)
+	if body, _ := get("/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Fatalf("/debug/pprof/ index lacks the goroutine profile:\n%s", body)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad txn filter status = %d", resp.StatusCode)
+
+	status := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// Bad txn id is a 400, not a panic.
+	if got := status("/debug/txn/abc"); got != http.StatusBadRequest {
+		t.Fatalf("bad txn id status = %d", got)
+	}
+	// /debug/traces is not served: spans are the only trace model.
+	if got := status("/debug/traces"); got != http.StatusNotFound {
+		t.Fatalf("/debug/traces status = %d, want 404", got)
 	}
 }

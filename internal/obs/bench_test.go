@@ -28,14 +28,6 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	}
 }
 
-func BenchmarkTracerEmit(b *testing.B) {
-	tr := NewTracer(4096)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(int64(i), "bench", "op", "")
-	}
-}
-
 func TestHotPathNoAlloc(t *testing.T) {
 	var c Counter
 	if n := testing.AllocsPerRun(1000, func() { c.Add(1) }); n != 0 {
@@ -55,7 +47,7 @@ func TestHotPathNoAlloc(t *testing.T) {
 // ring at its default size, full of other traces: the per-commit read the
 // host makes, which should cost the trace's 15 spans, not the ring.
 func BenchmarkAttributionFullRing(b *testing.B) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	const trace = 1
 	for i := 0; i < DefaultSpanCapacity; i++ {
 		push(tr, Span{Trace: int64(2 + i/15), ID: int64(1000 + i), Op: "phase1", DurNS: 10})
@@ -80,7 +72,7 @@ func BenchmarkAttributionFullRing(b *testing.B) {
 // BenchmarkSpanStartEnd opens and ends one span per iteration on a ring
 // that keeps wrapping, 15 spans per trace as in a host commit.
 func BenchmarkSpanStartEnd(b *testing.B) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.StartSpanInTrace(int64(1+i/15), 0, "host", "op").End()

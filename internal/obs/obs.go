@@ -1,8 +1,9 @@
 // Package obs is the observability substrate of the reproduction: a
 // dependency-free registry of named counters, gauges, and fixed-bucket
-// latency histograms, a bounded ring-buffer trace log of structured 2PC
-// lifecycle events, and an HTTP admin endpoint serving Prometheus-format
-// metrics, per-transaction traces, and live lock-table dumps.
+// latency histograms, a span tracer that records each sampled
+// transaction's 2PC tree into a bounded store, and an HTTP admin endpoint
+// serving Prometheus-format metrics, per-transaction span trees with
+// latency attribution, live lock-table dumps, and runtime profiles.
 //
 // Every lesson in Section 4 of the paper — lock escalation "bringing the
 // system to its knees", next-key deadlocks, the 60 s timeout, log-full

@@ -7,7 +7,7 @@ import (
 )
 
 // TestContention hammers one registry's counters, gauges, histograms, and
-// a shared trace ring from many goroutines, interleaved with scrapes. It
+// a shared span store from many goroutines, interleaved with scrapes. It
 // exists to be run under -race; the final counts double as a lost-update
 // check.
 func TestContention(t *testing.T) {
@@ -16,7 +16,7 @@ func TestContention(t *testing.T) {
 		iterations = 2000
 	)
 	r := New()
-	tr := NewTracer(1024)
+	tr := NewTracerCfg(TracerConfig{SpanCapacity: 1024, SlowThreshold: -1})
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -26,15 +26,18 @@ func TestContention(t *testing.T) {
 			gauge := r.Gauge("depth")
 			h := r.Histogram("lat_seconds")
 			named := tr.Named("worker")
+			trace := int64(g + 1)
+			root := named.StartRoot(trace, "bench", "commit")
+			defer root.End()
 			for i := 0; i < iterations; i++ {
 				c.Inc()
 				gauge.Add(1)
 				gauge.Add(-1)
 				h.Observe(time.Duration(i%1000) * time.Microsecond)
-				named.Emit(int64(g), "bench", "op", "")
+				named.StartSpan(root.Ctx(), "bench", "op").End()
 				if i%500 == 0 {
 					_ = r.Snapshot()
-					_ = tr.ByTxn(int64(g))
+					_ = tr.SpansByTrace(trace)
 				}
 			}
 		}(g)
@@ -46,7 +49,7 @@ func TestContention(t *testing.T) {
 		var sink nopWriter
 		for i := 0; i < 50; i++ {
 			r.WriteProm(&sink) //nolint:errcheck
-			_ = tr.Events()
+			_ = tr.Spans()
 		}
 	}()
 	wg.Wait()
@@ -61,8 +64,19 @@ func TestContention(t *testing.T) {
 	if got := r.Gauge("depth").Load(); got != 0 {
 		t.Fatalf("gauge = %d, want 0", got)
 	}
-	if got := len(tr.Events()); got != 1024 {
-		t.Fatalf("trace ring = %d events, want full 1024", got)
+	spans := tr.Spans()
+	if len(spans) != 1024 {
+		t.Fatalf("span ring = %d spans, want full 1024", len(spans))
+	}
+	var maxID int64
+	for _, sp := range spans {
+		maxID = max(maxID, sp.ID)
+		if sp.Open || sp.Comp != "worker/bench" {
+			t.Fatalf("unexpected span %+v", sp)
+		}
+	}
+	if want := int64(goroutines * (iterations + 1)); maxID != want {
+		t.Fatalf("highest span id = %d, want %d", maxID, want)
 	}
 }
 

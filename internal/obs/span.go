@@ -9,8 +9,8 @@ import (
 	"time"
 )
 
-// Spans give the flat trace-event ring a causal skeleton: every sampled
-// transaction produces a tree of timed intervals — host commit at the root,
+// Spans are the tracer's one trace model: every sampled transaction
+// produces a tree of timed intervals — host commit at the root,
 // phase-1/phase-2 RPC calls per participant below it, agent dispatch, lock
 // waits, and WAL fsyncs at the leaves — stitched across processes by
 // carrying SpanCtx in the RPC envelope. The paper's hardest incidents
@@ -57,9 +57,9 @@ type Attr struct {
 }
 
 // Span is one timed interval in a trace tree. StartNS is monotonic
-// (nanoseconds since the tracer started), the same clock as Event.AtNS, so
-// spans and flat events interleave on one timeline. Open marks a span
-// still in flight when it was snapshotted (its DurNS is elapsed-so-far).
+// (nanoseconds since the tracer started), so every span of a tracer and
+// its Named views lies on one timeline. Open marks a span still in flight
+// when it was snapshotted (its DurNS is elapsed-so-far).
 type Span struct {
 	Trace   int64  `json:"trace"`
 	ID      int64  `json:"id"`
@@ -74,11 +74,9 @@ type Span struct {
 }
 
 // TracerConfig sizes a tracer. Zero values take defaults, so the zero
-// config is the stock tracer: full sampling, 8 Ki event + span rings, a
-// 100 ms slow-transaction threshold keeping the 16 slowest trees.
+// config is the stock tracer: full sampling, an 8 Ki span ring, a 100 ms
+// slow-transaction threshold keeping the 16 slowest trees.
 type TracerConfig struct {
-	// Capacity is the trace-event ring size (Event records).
-	Capacity int
 	// SpanCapacity is the completed-span ring size.
 	SpanCapacity int
 	// SampleRate selects which transactions get span trees: 0 means the
@@ -95,9 +93,6 @@ type TracerConfig struct {
 }
 
 func (c TracerConfig) withDefaults() TracerConfig {
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultTraceCapacity
-	}
 	if c.SpanCapacity <= 0 {
 		c.SpanCapacity = DefaultSpanCapacity
 	}
@@ -113,9 +108,10 @@ func (c TracerConfig) withDefaults() TracerConfig {
 	return c
 }
 
-// spanStore is the span half of a tracer's shared state: a bounded ring of
-// completed spans plus a table of still-open spans, so a victim captured
-// mid-flight (lock timeout, deadlock) still shows its partial tree.
+// spanStore is the state a tracer shares with its Named views: the clock
+// every span's StartNS is measured on, a bounded ring of completed spans,
+// and a table of still-open spans, so a victim captured mid-flight (lock
+// timeout, deadlock) still shows its partial tree.
 //
 // The ring is indexed by trace: each trace's slots form a singly linked
 // list in push order (nextSame, parallel to buf), and traces maps a trace
@@ -152,30 +148,53 @@ type txnBinds struct {
 	m  map[int64]SpanCtx
 }
 
+// Tracer records span trees into a bounded span store. All methods are
+// safe for concurrent use and safe on a nil receiver, so components can be
+// instrumented unconditionally.
+//
+// Named returns a derived handle over the same store whose component names
+// are prefixed (a stack with several DLFMs gives each a Named view so one
+// transaction's spans form a single tree across components).
+type Tracer struct {
+	s      *spanStore
+	binds  *txnBinds // per-engine txn-id bindings; see BindTxn
+	prefix string
+}
+
 // NewTracerCfg returns a tracer with spans, a slow-transaction log, and
-// the given sampling rate. NewTracer(capacity) is equivalent to
-// NewTracerCfg(TracerConfig{Capacity: capacity}).
+// the given sampling rate.
 func NewTracerCfg(cfg TracerConfig) *Tracer {
 	cfg = cfg.withDefaults()
-	t := newEventRing(cfg.Capacity)
-	t.s = &spanStore{
-		start:    t.r.start,
-		rate:     cfg.SampleRate,
-		buf:      make([]Span, cfg.SpanCapacity),
-		nextSame: make([]int32, cfg.SpanCapacity),
-		traces:   make(map[int64]traceSlots),
-		open:     make(map[int64]*Span),
-		slow:     slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
+	return &Tracer{
+		s: &spanStore{
+			start:    time.Now(),
+			rate:     cfg.SampleRate,
+			buf:      make([]Span, cfg.SpanCapacity),
+			nextSame: make([]int32, cfg.SpanCapacity),
+			traces:   make(map[int64]traceSlots),
+			open:     make(map[int64]*Span),
+			slow:     slowLog{threshold: int64(cfg.SlowThreshold), keep: cfg.SlowKeep},
+		},
+		binds: &txnBinds{m: make(map[int64]SpanCtx)},
 	}
-	t.binds = &txnBinds{m: make(map[int64]SpanCtx)}
-	return t
+}
+
+// Named returns a tracer sharing this span store (ring, slow log,
+// sampling) that prefixes every component name with name + "/". The
+// txn-bind table is fresh, because a named tracer belongs to a different
+// engine whose local txn ids collide with everyone else's.
+func (t *Tracer) Named(name string) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{s: t.s, binds: &txnBinds{m: make(map[int64]SpanCtx)}, prefix: t.prefix + name + "/"}
 }
 
 // Sampled reports whether the given transaction's spans are recorded. The
 // decision is a deterministic hash of the txn id so a replayed run samples
 // the same transactions.
 func (t *Tracer) Sampled(txn int64) bool {
-	if t == nil || t.s == nil || txn == 0 {
+	if t == nil || txn == 0 {
 		return false
 	}
 	s := t.s
@@ -269,7 +288,7 @@ func (h *SpanHandle) Ctx() SpanCtx {
 
 // Attr annotates the span. Nil-safe; returns h for chaining.
 func (h *SpanHandle) Attr(k, v string) *SpanHandle {
-	if h == nil || h.t == nil || h.t.s == nil {
+	if h == nil {
 		return h
 	}
 	s := h.t.s
@@ -285,7 +304,7 @@ func (h *SpanHandle) Attr(k, v string) *SpanHandle {
 // ring. Ending twice is a no-op. If the span is a root at or above the
 // slow threshold, the whole trace tree is captured into the slow log.
 func (h *SpanHandle) End() {
-	if h == nil || h.t == nil || h.t.s == nil {
+	if h == nil {
 		return
 	}
 	s := h.t.s
@@ -349,7 +368,7 @@ func (s *spanStore) pushLocked(sp Span) {
 // table is scoped to this Tracer instance (one per engine — Named hands
 // out a fresh one), because local txn ids collide across engines.
 func (t *Tracer) BindTxn(txn int64, ctx SpanCtx) {
-	if t == nil || t.binds == nil || txn == 0 || !ctx.Valid() {
+	if t == nil || txn == 0 || !ctx.Valid() {
 		return
 	}
 	b := t.binds
@@ -362,7 +381,7 @@ func (t *Tracer) BindTxn(txn int64, ctx SpanCtx) {
 
 // UnbindTxn drops a BindTxn association (at commit/rollback).
 func (t *Tracer) UnbindTxn(txn int64) {
-	if t == nil || t.binds == nil {
+	if t == nil {
 		return
 	}
 	b := t.binds
@@ -374,7 +393,7 @@ func (t *Tracer) UnbindTxn(txn int64) {
 // CtxOf returns the span context bound to an engine-local txn id, or the
 // zero context.
 func (t *Tracer) CtxOf(txn int64) SpanCtx {
-	if t == nil || t.binds == nil {
+	if t == nil {
 		return SpanCtx{}
 	}
 	b := t.binds
@@ -387,7 +406,7 @@ func (t *Tracer) CtxOf(txn int64) SpanCtx {
 // Spans returns a copy of the completed-span ring plus all open spans
 // (marked Open, DurNS = elapsed so far), ordered by start time.
 func (t *Tracer) Spans() []Span {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	s := t.s
@@ -402,7 +421,7 @@ func (t *Tracer) Spans() []Span {
 // SpansByTrace returns one trace's spans (completed + open), ordered by
 // start time.
 func (t *Tracer) SpansByTrace(trace int64) []Span {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	s := t.s
@@ -466,7 +485,7 @@ func sortSpans(spans []Span) {
 // SlowEntries returns the retained slow-transaction captures, slowest
 // first. Nil-safe.
 func (t *Tracer) SlowEntries() []SlowEntry {
-	if t == nil || t.s == nil {
+	if t == nil {
 		return nil
 	}
 	return t.s.slow.entries()

@@ -10,7 +10,7 @@ import (
 )
 
 func TestSpanTreeBasics(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	root := tr.StartRoot(7, "host", "commit")
 	if root == nil {
 		t.Fatal("root span not created (spans should be on by default)")
@@ -63,6 +63,17 @@ func TestSpanTreeBasics(t *testing.T) {
 	}
 }
 
+func TestTracerNilSafe(t *testing.T) {
+	var tr *Tracer
+	tr.BindTxn(1, SpanCtx{Trace: 1, Span: 1})
+	tr.UnbindTxn(1)
+	if tr.StartRoot(1, "host", "commit") != nil || tr.Named("x") != nil ||
+		tr.Spans() != nil || tr.SpansByTrace(1) != nil || tr.SlowEntries() != nil ||
+		tr.CtxOf(1).Valid() || tr.Attribution(1).RootNS != 0 {
+		t.Fatal("nil tracer should be inert")
+	}
+}
+
 func TestSpanSampling(t *testing.T) {
 	off := NewTracerCfg(TracerConfig{SampleRate: -1})
 	if off.Sampled(1) {
@@ -100,7 +111,7 @@ func TestSpanSampling(t *testing.T) {
 }
 
 func TestTxnBinding(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	ctx := SpanCtx{Trace: 42, Span: 9}
 	tr.BindTxn(5, ctx)
 	if got := tr.CtxOf(5); got != ctx {
@@ -144,7 +155,7 @@ func push(tr *Tracer, sp Span) {
 }
 
 func TestAttributionSelfTime(t *testing.T) {
-	tr := NewTracer(64)
+	tr := NewTracerCfg(TracerConfig{})
 	const trace = 11
 	ms := int64(time.Millisecond)
 	// commit(100ms) ├ phase1(60ms) ─ rpc:Prepare(40ms) ─ handle(35ms) ─ lock_wait(10ms)

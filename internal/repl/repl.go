@@ -16,6 +16,7 @@ package repl
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,7 +145,7 @@ func (s *Standby) run() {
 				// Transport or apply failure: keep polling. The client
 				// redials on the next call; a dead primary shows up as
 				// growing lag, which failover resolves with Promote.
-				s.srv.Tracer().Emitf(0, "repl", "fetch_error", "%v", err)
+				slog.Warn("repl: standby fetch failed", "server", s.srv.Name(), "err", err)
 			}
 		}
 	}
@@ -240,7 +241,6 @@ func (s *Standby) Promote() error {
 		}
 		failures = 0
 	}
-	drained := s.Lag() == 0
 	if s.client != nil {
 		s.client.Close()
 		s.client = nil
@@ -251,7 +251,5 @@ func (s *Standby) Promote() error {
 		return err
 	}
 	s.promoted.Store(true)
-	s.srv.Tracer().Emitf(0, "repl", "promote_done", "%s applyLSN=%d drained=%v",
-		s.srv.Name(), s.applyLSN.Load(), drained)
 	return nil
 }

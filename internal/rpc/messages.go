@@ -280,7 +280,7 @@ func lookup(req any) (msgInfo, bool) {
 	return info, ok
 }
 
-// Name returns a request's wire name for diagnostics and trace events.
+// Name returns a request's wire name for diagnostics and span names.
 func Name(req any) string {
 	if info, ok := lookup(req); ok {
 		return info.name

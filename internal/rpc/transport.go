@@ -120,7 +120,6 @@ type AgentFactory interface {
 // done is buffered (capacity 1) and receives exactly one CallResult: either
 // the matched reply or a transport error when the connection dies.
 type pendingCall struct {
-	req  any
 	done chan CallResult
 }
 
@@ -149,7 +148,6 @@ type Client struct {
 	mu     sync.Mutex
 	conn   io.ReadWriteCloser
 	enc    *gob.Encoder
-	tracer *obs.Tracer
 	redial func() (io.ReadWriteCloser, error)
 	broken bool
 	// idleSever records that the connection died with no calls in flight.
@@ -174,9 +172,6 @@ type Client struct {
 	timeout       time.Duration           // per-call deadline; <0 disables
 	retries       int                     // reconnect/re-issue attempts
 }
-
-// SetTracer directs rpc_send/rpc_recv trace events at tr (nil disables).
-func (c *Client) SetTracer(tr *obs.Tracer) { c.tracer = tr }
 
 // SetCallTimeout overrides the per-call I/O deadline (0 restores the
 // default, negative disables deadlines entirely).
@@ -248,7 +243,6 @@ func (c *Client) CallCtx(ctx obs.SpanCtx, req any) (Response, error) {
 		}
 		if sent {
 			rpcStats.reissues.Add(1)
-			c.tracer.Emit(TxnOf(req), "rpc", "rpc_reissue", Name(req))
 		}
 		if d := bo.Delay(attempt); d > 0 {
 			time.Sleep(d)
@@ -304,7 +298,6 @@ func (c *Client) finish(pc *pendingCall, res CallResult) (Response, error) {
 	if res.Err != nil {
 		return Response{}, res.Err
 	}
-	c.tracer.Emit(TxnOf(pc.req), "rpc", "rpc_recv", Name(pc.req))
 	return res.Resp, nil
 }
 
@@ -326,7 +319,6 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 		c.mu.Unlock()
 		return nil, 0, err
 	}
-	c.tracer.Emit(TxnOf(req), "rpc", "rpc_send", Name(req))
 	if err := fpSendBefore.FireDetail(Name(req)); err != nil {
 		c.severLocked()
 		c.mu.Unlock()
@@ -334,7 +326,7 @@ func (c *Client) send(ctx obs.SpanCtx, req any, sent *bool) (*pendingCall, int, 
 	}
 	c.seq++
 	seq := c.seq
-	pc := &pendingCall{req: req, done: make(chan CallResult, 1)}
+	pc := &pendingCall{done: make(chan CallResult, 1)}
 	c.pending[seq] = pc
 	if c.timeout == 0 {
 		c.timeout = DefaultCallTimeout
@@ -443,7 +435,6 @@ func (c *Client) ensureConnLocked() error {
 	c.gen++
 	go c.readLoop(gob.NewDecoder(conn), c.gen)
 	rpcStats.reconnects.Add(1)
-	c.tracer.Emit(0, "rpc", "rpc_reconnect", "")
 	return nil
 }
 

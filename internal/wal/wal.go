@@ -228,14 +228,11 @@ type Log struct {
 	// syncHist measures the stable-write delay that dominates commit cost
 	// in the Gray-Lamport accounting of 2PC.
 	syncHist *obs.Histogram
-	tracer   *obs.Tracer
 }
 
-// Instrument exposes the log's counters on reg (wal_* metric names) and
-// directs trace events — control-record appends and log-full rejections —
-// at tr. Both arguments may be nil. Call before concurrent use.
-func (l *Log) Instrument(reg *obs.Registry, tr *obs.Tracer) {
-	l.tracer = tr
+// Instrument exposes the log's counters on reg (wal_* metric names). reg
+// may be nil. Call before concurrent use.
+func (l *Log) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
@@ -321,8 +318,6 @@ func (l *Log) Append(r Record) (int64, error) {
 		tail := l.tailLocked()
 		if l.end+size-tail > l.capacity {
 			l.logFulls.Add(1)
-			l.tracer.Emitf(r.Txn, "wal", "log_full", "%s needs %d bytes, active %d of %d",
-				r.Type, size, l.end-tail, l.capacity)
 			return 0, fmt.Errorf("%w (txn %d needs %d bytes, active %d of %d)",
 				ErrLogFull, r.Txn, size, l.end-tail, l.capacity)
 		}
@@ -353,12 +348,6 @@ func (l *Log) Append(r Record) (int64, error) {
 	l.end += size
 	l.appends.Add(1)
 	l.bytes.Add(size)
-	switch r.Type {
-	case RecCommit, RecAbort, RecPrepare, RecCheckpoint:
-		// Only control records are traced; data-record appends are the hot
-		// path and would flood the ring.
-		l.tracer.Emit(r.Txn, "wal", "append", r.Type.String())
-	}
 	return r.LSN, nil
 }
 

@@ -253,12 +253,12 @@ func (r *Runner) Run() (Result, error) {
 						reads.Add(1)
 					}
 				case errors.Is(err, hostdb.ErrCommitUnacked):
-				// The decision is durable and the transaction committed;
-				// only the phase-2 acknowledgements are outstanding (the
-				// coordinator-crash window the commit-protocol experiment
-				// injects). The client's work is done.
-				commits.Add(1)
-			case errors.Is(err, hostdb.ErrTxnRolledBack):
+					// The decision is durable and the transaction committed;
+					// only the phase-2 acknowledgements are outstanding (the
+					// coordinator-crash window the commit-protocol experiment
+					// injects). The client's work is done.
+					commits.Add(1)
+				case errors.Is(err, hostdb.ErrTxnRolledBack):
 					// Deadlock/timeout victim: the paper's applications
 					// retry. Acknowledge, count, continue.
 					rollbacks.Add(1)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,9 +21,11 @@ import (
 // TestCommitSpanTree commits a two-participant transaction with the
 // sequential pipeline (CommitFanout=1, so per-participant spans do not
 // overlap and the attribution sum property holds exactly) and asserts the
-// full causal tree: root host commit, phase-1/phase-2 RPC spans per
-// participant, agent dispatch spans on the far side of the wire, and a WAL
-// fsync span from each DLFM's prepare.
+// full causal tree: root host commit, the statement's LinkFile RPC per
+// participant, phase-1/phase-2 RPC spans per participant, agent dispatch
+// spans on the far side of the wire (each prepare carrying its vote), and
+// a WAL fsync span from each DLFM's prepare. The tree and its attribution
+// are read back through the admin endpoint /debug/txn/<id>.
 func TestCommitSpanTree(t *testing.T) {
 	st := testStack(t, func(c *StackConfig) {
 		c.Servers = []string{"fs1", "fs2"}
@@ -51,7 +54,14 @@ func TestCommitSpanTree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spans := st.Tracer.SpansByTrace(txn)
+	srv := httptest.NewServer(st.Admin().Handler())
+	defer srv.Close()
+	var payload struct {
+		Spans       []obs.Span      `json:"spans"`
+		Attribution obs.Attribution `json:"attribution"`
+	}
+	getJSON(t, fmt.Sprintf("%s/debug/txn/%d", srv.URL, txn), &payload)
+	spans := payload.Spans
 	if len(spans) == 0 {
 		t.Fatal("commit produced no spans")
 	}
@@ -67,17 +77,24 @@ func TestCommitSpanTree(t *testing.T) {
 		t.Fatalf("no host/commit root span in:\n%s", strings.Join(obs.RenderTree(spans), "\n"))
 	}
 	want := map[string]int{
-		"phase1":         1,
-		"phase2":         1,
-		"rpc:Prepare":    2, // one per participant
-		"rpc:Commit":     2,
-		"handle:Prepare": 2, // agent dispatch, carried across the wire
-		"handle:Commit":  2,
+		"rpc:LinkFile":    2, // one per datalink column, in the INSERT
+		"handle:LinkFile": 2,
+		"phase1":          1,
+		"phase2":          1,
+		"rpc:Prepare":     2, // one per participant
+		"rpc:Commit":      2,
+		"handle:Prepare":  2, // agent dispatch, carried across the wire
+		"handle:Commit":   2,
 	}
 	for op, n := range want {
 		if count[op] != n {
 			t.Fatalf("span op %q count = %d, want %d; tree:\n%s",
 				op, count[op], n, strings.Join(obs.RenderTree(spans), "\n"))
+		}
+	}
+	for _, sp := range spans {
+		if sp.Op == "handle:Prepare" && !slices.Contains(sp.Attrs, obs.Attr{K: "vote", V: "yes"}) {
+			t.Fatalf("%s/%s attrs = %v, want vote=yes", sp.Comp, sp.Op, sp.Attrs)
 		}
 	}
 	// Each DLFM prepare hardens with an fsync; the span carries the server
@@ -95,7 +112,7 @@ func TestCommitSpanTree(t *testing.T) {
 
 	// Attribution: with the sequential fan-out, self times telescope, so
 	// buckets + other must reconstruct the root duration within 10%.
-	a := st.Tracer.Attribution(txn)
+	a := payload.Attribution
 	if a.RootNS != root.DurNS || a.RootNS <= 0 {
 		t.Fatalf("attribution root %d != span root %d", a.RootNS, root.DurNS)
 	}
